@@ -40,10 +40,7 @@ func (t *tree) BulkLoad(items []Item) error {
 	}
 
 	// Compute and sort by Hilbert index.
-	idx := make([]hilbert.Index, len(items))
-	for i := range items {
-		idx[i] = t.hilbertOf(items[i].Coords)
-	}
+	idx := t.hilbertsOf(items)
 	perm := make([]int, len(items))
 	for i := range perm {
 		perm[i] = i
@@ -111,10 +108,7 @@ func (t *tree) bulkInsert(items []Item) error {
 		}
 		return nil
 	}
-	idx := make([]hilbert.Index, len(items))
-	for i := range items {
-		idx[i] = t.hilbertOf(items[i].Coords)
-	}
+	idx := t.hilbertsOf(items)
 	perm := make([]int, len(items))
 	for i := range perm {
 		perm[i] = i

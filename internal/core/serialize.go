@@ -35,13 +35,7 @@ func serializeStore(s Store) []byte {
 	w.Uint8(uint8(cfg.SplitPolicy))
 	cfg.Schema.Encode(w)
 	w.Uint64(cfg.Schema.Fingerprint())
-	w.Uvarint(uint64(len(items)))
-	for _, it := range items {
-		for _, c := range it.Coords {
-			w.Uvarint(c)
-		}
-		w.Float64(it.Measure)
-	}
+	AppendItems(w, items)
 	return w.Bytes()
 }
 
@@ -78,30 +72,12 @@ func DeserializeStoreTrailer(b []byte) (Store, []byte, error) {
 	if fp := r.Uint64(); fp != schema.Fingerprint() {
 		return nil, nil, errors.New("core: shard schema fingerprint mismatch")
 	}
-	n := r.Uvarint()
-	if r.Err() != nil {
-		return nil, nil, r.Err()
-	}
-	dims := schema.NumDims()
-	// Each item needs at least dims+8 bytes; reject counts the buffer
-	// cannot possibly hold before allocating for them.
-	if n > uint64(r.Remaining())/uint64(dims+8)+1 {
-		return nil, nil, fmt.Errorf("core: shard claims %d items, buffer too small", n)
-	}
 	if cfg.LeafCapacity > 1<<20 || cfg.DirCapacity > 1<<20 || cfg.MDSCap > 1<<20 {
 		return nil, nil, errors.New("core: implausible shard configuration")
 	}
-	items := make([]Item, 0, n)
-	for i := uint64(0); i < n; i++ {
-		coords := make([]uint64, dims)
-		for d := range coords {
-			coords[d] = r.Uvarint()
-		}
-		m := r.Float64()
-		if r.Err() != nil {
-			return nil, nil, fmt.Errorf("core: shard truncated at item %d: %w", i, r.Err())
-		}
-		items = append(items, Item{Coords: coords, Measure: m})
+	items, err := DecodeItems(r, schema.NumDims())
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: shard items: %w", err)
 	}
 	s, err := NewStore(cfg)
 	if err != nil {

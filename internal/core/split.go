@@ -32,11 +32,7 @@ func (t *tree) splitLeaf(n *node) *node {
 		d := t.widestDim(n.key)
 		sort.SliceStable(n.items, func(i, j int) bool { return n.items[i].Coords[d] < n.items[j].Coords[d] })
 	}
-	elem := make([]*keys.Key, len(n.items))
-	for i, it := range n.items {
-		elem[i] = keys.NewPoint(t.cfg.Keys, t.cfg.MDSCap, it.Coords)
-	}
-	pos := t.splitPos(elem)
+	pos := t.leafSplit(n.items)
 
 	right := t.newLeaf()
 	right.items = append([]Item(nil), n.items[pos:]...)
@@ -92,11 +88,7 @@ func (t *tree) splitDir(n *node) *node {
 			return bi.Lo+bi.Hi < bj.Lo+bj.Hi // order by interval midpoint
 		})
 	}
-	elem := make([]*keys.Key, len(snaps))
-	for i, s := range snaps {
-		elem[i] = s.key
-	}
-	pos := t.splitPos(elem)
+	pos := t.splitPos(len(snaps), func(k *keys.Key, i int) { k.ExtendKey(snaps[i].key) })
 
 	right := t.newDir()
 	n.children = n.children[:0]
@@ -132,28 +124,46 @@ func (t *tree) widestDim(k *keys.Key) int {
 	return best
 }
 
-// splitPos returns the split position in [1, len-1] for elements in their
-// final order: SplitLeastOverlap scans every position in linear passes and
-// minimizes the overlap volume of the two resulting keys, breaking ties
-// toward the most balanced split; SplitMedian returns the middle.
-func (t *tree) splitPos(elem []*keys.Key) int {
-	n := len(elem)
+// leafSplitPos picks the split position of a full leaf's items (in their
+// final order). Extending a key by an item's point gives the same sets as
+// extending it by that point's key, so the scan needs no per-item key.
+func (t *tree) leafSplitPos(items []Item) int {
+	return t.splitPos(len(items), func(k *keys.Key, i int) { k.ExtendPoint(items[i].Coords) })
+}
+
+// splitPos returns the split position in [1, n-1] for n elements in their
+// final order, where extend(k, i) grows k by element i: SplitLeastOverlap
+// scans every position in linear passes and minimizes the overlap volume
+// of the two resulting keys, breaking ties toward the most balanced
+// split; SplitMedian returns the middle. The suffix and prefix keys are
+// reused scratch, so a scan allocates nothing once warm.
+func (t *tree) splitPos(n int, extend func(k *keys.Key, i int)) int {
 	if n < 2 {
 		return 1
 	}
 	if t.cfg.SplitPolicy == SplitMedian {
 		return n / 2
 	}
-	suffix := make([]*keys.Key, n+1)
-	suffix[n] = keys.NewEmpty(t.cfg.Keys, t.cfg.Schema.NumDims(), t.cfg.MDSCap)
-	for i := n - 1; i >= 0; i-- {
-		suffix[i] = suffix[i+1].Clone()
-		suffix[i].ExtendKey(elem[i])
+	// One cached scratch per tree; a scan that finds it taken by a
+	// concurrent split elsewhere in the tree builds its own.
+	sc := t.scratch.Swap(nil)
+	if sc == nil {
+		sc = &splitScratch{prefix: t.newKey()}
 	}
-	prefix := keys.NewEmpty(t.cfg.Keys, t.cfg.Schema.NumDims(), t.cfg.MDSCap)
+	defer t.scratch.Store(sc)
+	for len(sc.suffix) <= n {
+		sc.suffix = append(sc.suffix, t.newKey())
+	}
+	suffix, prefix := sc.suffix[:n+1], sc.prefix
+	suffix[n].Reset()
+	for i := n - 1; i >= 0; i-- {
+		suffix[i].CopyFrom(suffix[i+1])
+		extend(suffix[i], i)
+	}
+	prefix.Reset()
 	best, bestOv, bestBal := 1, math.Inf(1), n
 	for i := 1; i < n; i++ {
-		prefix.ExtendKey(elem[i-1])
+		extend(prefix, i-1)
 		ov := prefix.OverlapVolume(suffix[i])
 		bal := i - n/2
 		if bal < 0 {
@@ -164,6 +174,12 @@ func (t *tree) splitPos(elem []*keys.Key) int {
 		}
 	}
 	return best
+}
+
+// splitScratch is the reusable key storage of one split-position scan.
+type splitScratch struct {
+	suffix []*keys.Key
+	prefix *keys.Key
 }
 
 // SplitQuery plans a hyperplane that partitions the store into halves of

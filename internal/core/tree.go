@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -42,6 +41,11 @@ type tree struct {
 	// pointer only changes under anchor.Lock.
 	anchor sync.RWMutex
 	root   *node
+
+	scratch atomic.Pointer[splitScratch] // splitPos's reusable keys
+
+	// leafSplit is t.leafSplitPos; tests substitute a reference scan.
+	leafSplit func(items []Item) int
 }
 
 var _ Store = (*tree)(nil)
@@ -49,6 +53,7 @@ var _ Store = (*tree)(nil)
 // newTree builds an empty tree store.
 func newTree(cfg Config) (*tree, error) {
 	t := &tree{cfg: cfg}
+	t.leafSplit = t.leafSplitPos
 	if cfg.Store == StoreHilbertPDC {
 		c, err := curveFor(cfg.Schema)
 		if err != nil {
@@ -62,19 +67,16 @@ func newTree(cfg Config) (*tree, error) {
 
 func (t *tree) hilbertMode() bool { return t.curve != nil }
 
+func (t *tree) newKey() *keys.Key {
+	return keys.NewEmpty(t.cfg.Keys, t.cfg.Schema.NumDims(), t.cfg.MDSCap)
+}
+
 func (t *tree) newLeaf() *node {
-	return &node{
-		leaf: true,
-		key:  keys.NewEmpty(t.cfg.Keys, t.cfg.Schema.NumDims(), t.cfg.MDSCap),
-		agg:  NewAggregate(),
-	}
+	return &node{leaf: true, key: t.newKey(), agg: NewAggregate()}
 }
 
 func (t *tree) newDir() *node {
-	return &node{
-		key: keys.NewEmpty(t.cfg.Keys, t.cfg.Schema.NumDims(), t.cfg.MDSCap),
-		agg: NewAggregate(),
-	}
+	return &node{key: t.newKey(), agg: NewAggregate()}
 }
 
 // full reports whether the node is at capacity (must be split before
@@ -87,17 +89,27 @@ func (t *tree) full(n *node) bool {
 }
 
 // hilbertOf computes the item's compact Hilbert index over ID-expanded
-// coordinates.
-func (t *tree) hilbertOf(coords []uint64) hilbert.Index {
-	exp := make([]uint64, len(coords))
+// coordinates into buf (Words() long), which the returned index then
+// aliases. The expansion lives on the stack, so callers that carve buf
+// out of one per-batch array pay no allocation per item.
+func (t *tree) hilbertOf(coords, buf []uint64) hilbert.Index {
+	var exp [64]uint64 // a curve has at most 64 dimensions
 	for d, c := range coords {
 		exp[d] = t.cfg.Schema.ExpandOrdinal(d, c)
 	}
-	idx, err := t.curve.Index(exp)
-	if err != nil {
-		// Coordinates were validated against the schema; expansion cannot
-		// exceed the curve's bit widths.
-		panic(fmt.Sprintf("core: hilbert index: %v", err))
+	// Coordinates were validated against the schema, so the expansion
+	// fits the curve's bit widths.
+	return t.curve.IndexInto(exp[:len(coords)], buf)
+}
+
+// hilbertsOf computes the Hilbert indices of a batch, backed by one
+// array.
+func (t *tree) hilbertsOf(items []Item) []hilbert.Index {
+	w := t.curve.Words()
+	words := make([]uint64, len(items)*w)
+	idx := make([]hilbert.Index, len(items))
+	for i := range items {
+		idx[i] = t.hilbertOf(items[i].Coords, words[i*w:(i+1)*w:(i+1)*w])
 	}
 	return idx
 }
@@ -127,7 +139,7 @@ func (t *tree) Insert(it Item) error {
 	}
 	var h hilbert.Index
 	if t.hilbertMode() {
-		h = t.hilbertOf(it.Coords)
+		h = t.hilbertOf(it.Coords, make([]uint64, t.curve.Words()))
 	}
 	t.insert(it, h)
 	return nil

@@ -88,7 +88,7 @@ func CheckInvariants(s Store) error {
 					if i > 0 && n.hilberts[i].Less(n.hilberts[i-1]) {
 						return sub, nil, fmt.Errorf("leaf items out of hilbert order at %d", i)
 					}
-					if got := t.hilbertOf(it.Coords); got.Compare(n.hilberts[i]) != 0 {
+					if got := t.hilbertOf(it.Coords, make([]uint64, t.curve.Words())); got.Compare(n.hilberts[i]) != 0 {
 						return sub, nil, fmt.Errorf("stored hilbert index stale at %d", i)
 					}
 				}

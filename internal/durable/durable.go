@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/wire"
 )
 
 // Config tunes group commit and checkpointing.
@@ -304,7 +305,7 @@ func (d *Log) recoverShard(id uint64, dims int, newStore func() (core.Store, err
 			}
 			switch r.Type {
 			case RecInsert:
-				items, err := DecodeInsert(r.Data, dims)
+				items, err := core.DecodeItems(wire.NewReader(r.Data), dims)
 				if err != nil {
 					return err
 				}
@@ -453,7 +454,7 @@ func (d *Log) AppendInsert(id uint64, dims int, items []core.Item) error {
 	if err != nil {
 		return err
 	}
-	return s.w.append(Record{Type: RecInsert, Shard: id, Data: EncodeInsert(dims, items)}, d.mode == ModeSync)
+	return s.w.append(Record{Type: RecInsert, Shard: id, Data: core.EncodeItems(dims, items)}, d.mode == ModeSync)
 }
 
 // ReleaseShard marks a shard as migrated away: a release record is

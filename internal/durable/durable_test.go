@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hierarchy"
 	"repro/internal/keys"
+	"repro/internal/wire"
 )
 
 // testSchema builds a small 3-dimensional hierarchical schema.
@@ -166,9 +167,9 @@ func TestScanRecordsBadCRC(t *testing.T) {
 
 func TestInsertCodecRoundTrip(t *testing.T) {
 	items := testItems(37, 1)
-	got, err := DecodeInsert(EncodeInsert(3, items), 3)
+	got, err := core.DecodeItems(wire.NewReader(core.EncodeItems(3, items)), 3)
 	if err != nil {
-		t.Fatalf("DecodeInsert: %v", err)
+		t.Fatalf("DecodeItems: %v", err)
 	}
 	if !reflect.DeepEqual(got, items) {
 		t.Fatalf("insert codec round trip mismatch")
@@ -347,7 +348,7 @@ func TestTornTailTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open wal: %v", err)
 	}
-	torn := EncodeRecord(Record{Type: RecInsert, Shard: 3, Data: EncodeInsert(3, testItems(5, 9))})
+	torn := EncodeRecord(Record{Type: RecInsert, Shard: 3, Data: core.EncodeItems(3, testItems(5, 9))})
 	if _, err := f.Write(torn[:len(torn)-3]); err != nil {
 		t.Fatalf("write torn tail: %v", err)
 	}

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/wire"
 )
 
 // FuzzScanRecords pins the WAL codec's crash-safety contract on arbitrary
@@ -13,7 +16,7 @@ import (
 func FuzzScanRecords(f *testing.F) {
 	// Seeds: empty, one record, two records, a torn tail, a corrupt CRC,
 	// and an implausible length prefix.
-	one := EncodeRecord(Record{Type: RecInsert, Shard: 4, Data: EncodeInsert(3, testItems(3, 1))})
+	one := EncodeRecord(Record{Type: RecInsert, Shard: 4, Data: core.EncodeItems(3, testItems(3, 1))})
 	two := append(append([]byte{}, one...), EncodeRecord(Record{Type: RecRelease, Shard: 4})...)
 	torn := append(append([]byte{}, one...), one[:len(one)-5]...)
 	bad := append([]byte{}, two...)
@@ -68,11 +71,12 @@ func FuzzScanRecords(f *testing.F) {
 	})
 }
 
-// FuzzDecodeInsert pins the insert-body decoder: arbitrary bytes never
-// panic or over-allocate, and valid bodies round trip.
+// FuzzDecodeInsert pins the item-batch decoder behind insert records and
+// insert payloads: arbitrary bytes never panic or over-allocate, and
+// valid bodies round trip.
 func FuzzDecodeInsert(f *testing.F) {
-	f.Add(EncodeInsert(3, testItems(5, 2)), 3)
-	f.Add(EncodeInsert(1, testItems(1, 0)), 1)
+	f.Add(core.EncodeItems(3, testItems(5, 2)), 3)
+	f.Add(core.EncodeItems(1, testItems(1, 0)), 1)
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, 3) // huge count, tiny body
 	f.Add([]byte{}, 2)
 
@@ -80,11 +84,11 @@ func FuzzDecodeInsert(f *testing.F) {
 		if dims < 1 || dims > 16 {
 			return
 		}
-		items, err := DecodeInsert(b, dims)
+		items, err := core.DecodeItems(wire.NewReader(b), dims)
 		if err != nil {
 			return
 		}
-		back, err := DecodeInsert(EncodeInsert(dims, items), dims)
+		back, err := core.DecodeItems(wire.NewReader(core.EncodeItems(dims, items)), dims)
 		if err != nil {
 			t.Fatalf("re-decode of re-encode failed: %v", err)
 		}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"encoding/binary"
 	"fmt"
 	"log"
 	"os"
@@ -54,7 +55,7 @@ func writeSeed(dir, name string, values ...any) {
 
 func main() {
 	one := durable.EncodeRecord(durable.Record{
-		Type: durable.RecInsert, Shard: 4, Data: durable.EncodeInsert(3, items(3, 1)),
+		Type: durable.RecInsert, Shard: 4, Data: core.EncodeItems(3, items(3, 1)),
 	})
 	release := durable.EncodeRecord(durable.Record{Type: durable.RecRelease, Shard: 4})
 	adopt := durable.EncodeRecord(durable.Record{Type: durable.RecAdopt, Shard: 12})
@@ -74,8 +75,11 @@ func main() {
 	writeSeed(scan, "seed-huge-length", hugeLen)
 
 	ins := filepath.Join("testdata", "fuzz", "FuzzDecodeInsert")
-	writeSeed(ins, "seed-valid-3d", durable.EncodeInsert(3, items(5, 2)), 3)
-	writeSeed(ins, "seed-valid-1d", durable.EncodeInsert(1, items(1, 0)), 1)
+	writeSeed(ins, "seed-valid-3d", core.EncodeItems(3, items(5, 2)), 3)
+	writeSeed(ins, "seed-valid-1d", core.EncodeItems(1, items(1, 0)), 1)
 	writeSeed(ins, "seed-huge-count", []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, 3)
-	writeSeed(ins, "seed-truncated-item", durable.EncodeInsert(3, items(4, 2))[:9], 3)
+	writeSeed(ins, "seed-truncated-item", core.EncodeItems(3, items(4, 2))[:9], 3)
+	// A short payload claiming 2^40 items: must be rejected before any
+	// allocation is sized by the count.
+	writeSeed(ins, "seed-claims-2pow40-items", append(binary.AppendUvarint(nil, 1<<40), 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11), 3)
 }

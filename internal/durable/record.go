@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"hash/crc32"
 
-	"repro/internal/core"
 	"repro/internal/wire"
 )
 
@@ -145,45 +144,4 @@ func ScanRecords(b []byte, fn func(Record) error) (int, error) {
 		off += n
 	}
 	return off, nil
-}
-
-// EncodeInsert builds a RecInsert body: the batch of items, coordinates
-// as uvarints and the measure as a fixed float64.
-func EncodeInsert(dims int, items []core.Item) []byte {
-	w := wire.NewWriter(8 + len(items)*(dims*4+8))
-	w.Uvarint(uint64(len(items)))
-	for _, it := range items {
-		for _, c := range it.Coords {
-			w.Uvarint(c)
-		}
-		w.Float64(it.Measure)
-	}
-	return w.Bytes()
-}
-
-// DecodeInsert parses a RecInsert body written by EncodeInsert.
-func DecodeInsert(b []byte, dims int) ([]core.Item, error) {
-	r := wire.NewReader(b)
-	n := r.Uvarint()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	// Each item needs at least dims+8 bytes; reject impossible counts
-	// before allocating for them.
-	if n > uint64(r.Remaining())/uint64(dims+8)+1 {
-		return nil, fmt.Errorf("durable: insert record claims %d items, body too small", n)
-	}
-	items := make([]core.Item, 0, n)
-	for i := uint64(0); i < n; i++ {
-		coords := make([]uint64, dims)
-		for d := range coords {
-			coords[d] = r.Uvarint()
-		}
-		m := r.Float64()
-		if r.Err() != nil {
-			return nil, fmt.Errorf("durable: insert record truncated at item %d: %w", i, r.Err())
-		}
-		items = append(items, core.Item{Coords: coords, Measure: m})
-	}
-	return items, nil
 }

@@ -3,6 +3,7 @@ package image
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/hierarchy"
@@ -41,12 +42,15 @@ type Index struct {
 type inode struct {
 	mu       sync.RWMutex
 	key      *keys.Key
+	gen      uint64 // bumped under mu whenever key changes
 	parent   *inode
 	children []*inode
 
 	leaf  bool
 	shard ShardID
 	count uint64
+
+	sib siblings // directory nodes: chooseChild's cache, guarded by mu
 }
 
 // ErrNoShards is returned by RouteInsert on an empty index.
@@ -151,6 +155,7 @@ func (x *Index) AddShard(id ShardID, k *keys.Key) error {
 
 	for {
 		cur.key.ExtendKey(leaf.key)
+		cur.gen++
 		if len(cur.children) == 0 || cur.children[0].leaf {
 			leaf.parent = cur
 			cur.children = append(cur.children, leaf)
@@ -225,6 +230,7 @@ func (x *Index) splitDir(n *inode) *inode {
 
 	recompute := func(dir *inode) {
 		dir.key = keys.NewEmpty(x.kind, x.schema.NumDims(), x.mdsCap)
+		dir.gen++
 		for _, c := range dir.children {
 			c.mu.Lock()
 			c.parent = dir
@@ -251,35 +257,164 @@ func keyEnlargement(base, k *keys.Key) float64 {
 // chooseChild picks the subtree that minimizes the overlap its extension
 // (by key k or point coords) would cause with its siblings — the paper's
 // least-overlap rule ("the high global cost of overlap dominates the cost
-// of performing overlap calculations in the index", §III-C). The caller
-// holds n's write lock.
+// of performing overlap calculations in the index", §III-C). Ties go to
+// the smaller enlargement, then to the first child. The caller holds n's
+// write lock.
+//
+// The sums are taken over n.sib, whose pairwise table only changes when
+// a child's key does: a child that already contains the point scores its
+// cached row sum, and any other child recomputes only the dimensions its
+// extension grew. Extending a key never shrinks its overlaps, so the row
+// sum also bounds an extended child's score from below, and a child (or
+// partial sum) that provably cannot replace the current best is skipped.
+// Every sum and product that is taken runs in the same order as the
+// direct OverlapVolume evaluation, so the choice is bit-identical to it.
 func (x *Index) chooseChild(n *inode, k *keys.Key, coords []uint64) int {
-	snaps := make([]*keys.Key, len(n.children))
-	for i, c := range n.children {
-		c.mu.RLock()
-		snaps[i] = c.key.Clone()
-		c.mu.RUnlock()
-	}
+	s := &n.sib
+	s.refresh(n.children, x)
+	nc, dims := len(n.children), x.schema.NumDims()
 	best, bestOv, bestEnl := -1, 0.0, 0.0
-	for i := range n.children {
-		ext := snaps[i].Clone()
-		if coords != nil {
-			ext.ExtendPoint(coords)
-		} else {
-			ext.ExtendKey(k)
+	for i, snap := range s.snap {
+		contained := coords != nil && snap.ContainsPoint(coords)
+		if best != -1 && !contained && (s.row[i] > bestOv || (s.row[i] == bestOv && bestEnl == 0)) {
+			continue
 		}
-		ov := 0.0
-		for j := range snaps {
-			if j != i {
-				ov += ext.OverlapVolume(snaps[j])
+		// vol-vol is 0, or NaN for an infinite volume, as in the direct
+		// evaluation.
+		ov, enl := s.row[i], s.vol[i]-s.vol[i]
+		if !contained {
+			s.ext.CopyFrom(snap)
+			if coords != nil {
+				s.ext.ExtendPoint(coords)
+			} else {
+				s.ext.ExtendKey(k)
+			}
+			grew := false
+			for d := range s.grown {
+				s.grown[d] = !slices.Equal(s.ext.Set(d), snap.Set(d))
+				grew = grew || s.grown[d]
+			}
+			if grew {
+				ov = 0
+				for j := range s.snap {
+					if j == i {
+						continue
+					}
+					v := 1.0
+					row := s.ix[(i*nc+j)*dims:]
+					for d, g := range s.grown {
+						l := row[d]
+						if g {
+							l = s.ext.DimIntersectLen(s.snap[j], d)
+						}
+						if l == 0 {
+							v = 0
+							break
+						}
+						v *= float64(l)
+					}
+					if ov += v; best != -1 && ov > bestOv {
+						break // the rest of the sum can only grow
+					}
+				}
+				enl = s.ext.Volume() - s.vol[i]
 			}
 		}
-		enl := ext.Volume() - snaps[i].Volume()
 		if best == -1 || ov < bestOv || (ov == bestOv && enl < bestEnl) {
 			best, bestOv, bestEnl = i, ov, enl
 		}
 	}
 	return best
+}
+
+// siblings caches, for one directory node, copies of its children's keys
+// and the sibling overlaps between them. A slot is valid while the child
+// it was filled from is still in that position and its gen is unchanged;
+// only stale slots are refilled. It is read and written only under the
+// owning node's write lock.
+type siblings struct {
+	of   []*inode    // the child each slot was filled from
+	gen  []uint64    // that child's gen when the slot was filled
+	snap []*keys.Key // copies of the children's keys
+	vol  []float64   // snap[i].Volume()
+	row  []float64   // sum over j != i, ascending, of snap[i].OverlapVolume(snap[j])
+	ix   []uint64    // ix[(i*n+j)*dims+d]: snap[i].DimIntersectLen(snap[j], d)
+
+	stale []bool    // scratch: slots refilled by the current refresh
+	ext   *keys.Key // scratch: a child's key extended by the routed point or key
+	grown []bool    // scratch: per dimension, whether ext differs from the snapshot
+}
+
+// overlap multiplies per-dimension intersection lengths in dimension
+// order, exactly as keys.OverlapVolume does. (chooseChild inlines the
+// same product so that it only computes the lengths it multiplies.)
+func overlap(lens []uint64) float64 {
+	v := 1.0
+	for _, l := range lens {
+		if l == 0 {
+			return 0
+		}
+		v *= float64(l)
+	}
+	return v
+}
+
+// refresh brings the cache up to date with children, whose keys it reads
+// under their read locks.
+func (s *siblings) refresh(children []*inode, x *Index) {
+	n, dims := len(children), x.schema.NumDims()
+	if len(s.of) != n {
+		*s = siblings{
+			of:    make([]*inode, n),
+			gen:   make([]uint64, n),
+			snap:  make([]*keys.Key, n),
+			vol:   make([]float64, n),
+			row:   make([]float64, n),
+			ix:    make([]uint64, n*n*dims),
+			stale: make([]bool, n),
+			ext:   keys.NewEmpty(x.kind, dims, x.mdsCap),
+			grown: make([]bool, dims),
+		}
+		for i := range s.snap {
+			s.snap[i] = keys.NewEmpty(x.kind, dims, x.mdsCap)
+		}
+	}
+	refilled := false
+	for i, c := range children {
+		c.mu.RLock()
+		if s.of[i] != c || s.gen[i] != c.gen {
+			s.snap[i].CopyFrom(c.key)
+			s.of[i], s.gen[i] = c, c.gen
+			s.stale[i], refilled = true, true
+		}
+		c.mu.RUnlock()
+	}
+	if !refilled {
+		return
+	}
+	for i, stale := range s.stale {
+		if !stale {
+			continue
+		}
+		s.stale[i] = false
+		s.vol[i] = s.snap[i].Volume()
+		for j := range s.snap {
+			for d := 0; d < dims; d++ {
+				l := s.snap[i].DimIntersectLen(s.snap[j], d)
+				s.ix[(i*n+j)*dims+d], s.ix[(j*n+i)*dims+d] = l, l
+			}
+		}
+	}
+	for i := range s.row {
+		ov := 0.0
+		for j := range s.snap {
+			if j == i {
+				continue
+			}
+			ov += overlap(s.ix[(i*n+j)*dims : (i*n+j+1)*dims])
+		}
+		s.row[i] = ov
+	}
 }
 
 // RouteInsert picks the shard for a new item, expanding bounding boxes
@@ -296,15 +431,17 @@ func (x *Index) RouteInsert(coords []uint64) (ShardID, bool, error) {
 		return 0, false, ErrNoShards
 	}
 	for {
-		if cur.leaf {
-			grew := !cur.key.ContainsPoint(coords)
+		grew := !cur.key.ContainsPoint(coords)
+		if grew {
 			cur.key.ExtendPoint(coords)
+			cur.gen++
+		}
+		if cur.leaf {
 			cur.count++
 			id := cur.shard
 			cur.mu.Unlock()
 			return id, grew, nil
 		}
-		cur.key.ExtendPoint(coords)
 		i := x.chooseChild(cur, nil, coords)
 		child := cur.children[i]
 		child.mu.Lock()
@@ -362,6 +499,7 @@ func (x *Index) ExpandLeaf(id ShardID, k *keys.Key, count uint64) bool {
 
 	leaf.mu.Lock()
 	leaf.key.ExtendKey(k)
+	leaf.gen++
 	if count > leaf.count {
 		leaf.count = count
 	}
@@ -370,6 +508,7 @@ func (x *Index) ExpandLeaf(id ShardID, k *keys.Key, count uint64) bool {
 	for p != nil {
 		p.mu.Lock()
 		p.key.ExtendKey(k)
+		p.gen++
 		next := p.parent
 		p.mu.Unlock()
 		p = next

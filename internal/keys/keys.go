@@ -185,6 +185,14 @@ func (k *Key) CopyFrom(o *Key) {
 	}
 }
 
+// Reset empties the key, keeping its storage for reuse.
+func (k *Key) Reset() {
+	k.empty = true
+	for d := range k.sets {
+		k.sets[d] = k.sets[d][:0]
+	}
+}
+
 // Set returns the interval set of dimension d (aliased, do not mutate).
 func (k *Key) Set(d int) []hierarchy.Interval { return k.sets[d] }
 
@@ -323,6 +331,16 @@ func (k *Key) OverlapVolume(o *Key) float64 {
 		v *= float64(l)
 	}
 	return v
+}
+
+// DimIntersectLen returns the number of ordinals of dimension d covered
+// by both keys (0 when either is empty). OverlapVolume is the product of
+// these lengths over the dimensions, in dimension order.
+func (k *Key) DimIntersectLen(o *Key, d int) uint64 {
+	if k.empty || o.empty {
+		return 0
+	}
+	return setIntersectLen(k.sets[d], o.sets[d])
 }
 
 // EnlargementPoint returns the volume increase caused by extending the key

@@ -1204,7 +1204,7 @@ func DecodeHello(b []byte) (Hello, error) {
 }
 
 func (s *Server) handleInsert(ctx context.Context, p []byte) ([]byte, error) {
-	items, err := decodeItems(p, s.cfg.Schema.NumDims())
+	items, err := core.DecodeItems(wire.NewReader(p), s.cfg.Schema.NumDims())
 	if err != nil {
 		return nil, err
 	}
@@ -1212,7 +1212,7 @@ func (s *Server) handleInsert(ctx context.Context, p []byte) ([]byte, error) {
 }
 
 func (s *Server) handleBulkLoad(ctx context.Context, p []byte) ([]byte, error) {
-	items, err := decodeItems(p, s.cfg.Schema.NumDims())
+	items, err := core.DecodeItems(wire.NewReader(p), s.cfg.Schema.NumDims())
 	if err != nil {
 		return nil, err
 	}
@@ -1578,39 +1578,10 @@ func DecodeClusterStats(b []byte) (*ClusterStats, error) {
 	return cs, nil
 }
 
-// decodeItems parses a bare item batch (no shard prefix).
-func decodeItems(p []byte, dims int) ([]core.Item, error) {
-	r := wire.NewReader(p)
-	n := r.Uvarint()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	items := make([]core.Item, 0, n)
-	for i := uint64(0); i < n; i++ {
-		coords := make([]uint64, dims)
-		for d := range coords {
-			coords[d] = r.Uvarint()
-		}
-		m := r.Float64()
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		items = append(items, core.Item{Coords: coords, Measure: m})
-	}
-	return items, nil
-}
-
-// EncodeItems builds the payload for server.insert / server.bulkload.
+// EncodeItems builds the payload for server.insert / server.bulkload: a
+// bare item batch.
 func EncodeItems(dims int, items []core.Item) []byte {
-	w := wire.NewWriter(8 + len(items)*(dims*4+8))
-	w.Uvarint(uint64(len(items)))
-	for _, it := range items {
-		for _, c := range it.Coords {
-			w.Uvarint(c)
-		}
-		w.Float64(it.Measure)
-	}
-	return w.Bytes()
+	return core.EncodeItems(dims, items)
 }
 
 // DecodeQueryResponse parses a server.query reply.

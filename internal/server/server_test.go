@@ -314,6 +314,36 @@ func TestRPCSurface(t *testing.T) {
 	}
 }
 
+// TestInsertRejectsHostileCount sends insert payloads whose item count
+// (2^40) the bytes cannot hold: the server must answer with an error
+// instead of sizing an allocation by the count, and keep serving.
+func TestInsertRejectsHostileCount(t *testing.T) {
+	h := newHarness(t, 1, 2)
+	s := h.server("s0", time.Hour)
+	addr, err := s.Listen(fmt.Sprintf("inproc://srvtest-hostile-%d", seq))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := netmsg.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	w := wire.NewWriter(32)
+	w.Uvarint(1 << 40)
+	w.Uvarint(3)
+	w.Uvarint(4)
+	w.Float64(1.5)
+	for _, op := range []string{"server.insert", "server.bulkload"} {
+		if _, err := c.Request(op, w.Bytes()); err == nil {
+			t.Errorf("%s of a payload claiming 2^40 items succeeded", op)
+		}
+	}
+	if _, err := c.Request("server.insert", EncodeItems(2, []core.Item{{Coords: []uint64{3, 4}, Measure: 1.5}})); err != nil {
+		t.Fatalf("valid insert after hostile payloads: %v", err)
+	}
+}
+
 func newTestRectPayload(q keys.Rect) []byte {
 	w := wire.NewWriter(64)
 	q.Encode(w)

@@ -127,7 +127,7 @@ func (w *Worker) shipToReplicas(ctx context.Context, st *shardState, id image.Sh
 	frame := durable.EncodeRecord(durable.Record{
 		Type:  durable.RecInsert,
 		Shard: uint64(id),
-		Data:  durable.EncodeInsert(w.cfg.Schema.NumDims(), items),
+		Data:  core.EncodeItems(w.cfg.Schema.NumDims(), items),
 	})
 	req := wire.NewWriter(len(frame) + 16)
 	req.Uvarint(uint64(id))
@@ -490,7 +490,7 @@ func (w *Worker) handleReplicate(ctx context.Context, p []byte) ([]byte, error) 
 	if rec.Type != durable.RecInsert || rec.Shard != uint64(id) {
 		return nil, fmt.Errorf("worker %s: replicate record type %d shard %d, want insert for %d", w.id, rec.Type, rec.Shard, id)
 	}
-	items, err := durable.DecodeInsert(rec.Data, w.cfg.Schema.NumDims())
+	items, err := core.DecodeItems(wire.NewReader(rec.Data), w.cfg.Schema.NumDims())
 	if err != nil {
 		return nil, err
 	}

@@ -500,56 +500,11 @@ func (w *Worker) CreateShard(id image.ShardID) error {
 
 // --- wire helpers --------------------------------------------------------
 
-// encodeItems appends items to the writer.
-func encodeItems(w *wire.Writer, dims int, items []core.Item) {
-	w.Uvarint(uint64(len(items)))
-	for _, it := range items {
-		for _, c := range it.Coords {
-			w.Uvarint(c)
-		}
-		w.Float64(it.Measure)
-	}
-}
-
-// decodeItems reads items written by encodeItems. All coordinate slices
-// sub-slice one flat backing array, so a batch costs two allocations
-// instead of one per item on the hot RPC decode path.
-func decodeItems(r *wire.Reader, dims int) ([]core.Item, error) {
-	n := r.Uvarint()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	// Every item occupies at least one varint byte per coordinate plus
-	// an 8-byte measure, so a hostile count cannot force a huge
-	// allocation out of a short payload.
-	if minBytes := uint64(dims + 8); n > uint64(r.Remaining())/minBytes {
-		return nil, fmt.Errorf("worker: item count %d exceeds payload", n)
-	}
-	flat := make([]uint64, int(n)*dims)
-	items := make([]core.Item, 0, n)
-	for i := uint64(0); i < n; i++ {
-		coords := flat[:dims:dims]
-		flat = flat[dims:]
-		for d := range coords {
-			coords[d] = r.Uvarint()
-		}
-		m := r.Float64()
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		items = append(items, core.Item{Coords: coords, Measure: m})
-	}
-	return items, nil
-}
-
 // EncodeInsertRequest builds the payload for worker.insert / bulkload.
 func EncodeInsertRequest(shard image.ShardID, dims int, items []core.Item) []byte {
 	w := wire.NewWriter(16 + len(items)*(dims*4+8))
 	w.Uvarint(uint64(shard))
-	encodeItems(w, dims, items)
+	core.AppendItems(w, items)
 	return w.Bytes()
 }
 
@@ -616,7 +571,7 @@ func (w *Worker) handleCreateShard(_ context.Context, p []byte) ([]byte, error) 
 func (w *Worker) handleInsert(ctx context.Context, p []byte) ([]byte, error) {
 	r := wire.NewReader(p)
 	id := image.ShardID(r.Uvarint())
-	items, err := decodeItems(r, w.cfg.Schema.NumDims())
+	items, err := core.DecodeItems(r, w.cfg.Schema.NumDims())
 	if err != nil {
 		return nil, err
 	}
@@ -691,7 +646,7 @@ func (w *Worker) Insert(ctx context.Context, id image.ShardID, items []core.Item
 func (w *Worker) handleBulkLoad(ctx context.Context, p []byte) ([]byte, error) {
 	r := wire.NewReader(p)
 	id := image.ShardID(r.Uvarint())
-	items, err := decodeItems(r, w.cfg.Schema.NumDims())
+	items, err := core.DecodeItems(r, w.cfg.Schema.NumDims())
 	if err != nil {
 		return nil, err
 	}
